@@ -8,11 +8,11 @@ Every command runs as its own child process, `python -m digitvec.cli`
 with `PYTHONPATH=src`, one at a time from this process (a closed loop
 with one client). BLAS/OpenMP threads of the children are pinned to
 `THREADS`. Set-up runs `synth` `SETUP_REPEATS` times; the measurement
-then repeats train -> score -> eval (eval `EVAL_REPEATS` times) on that
-corpus while the next iteration is expected to end within `--seconds`
-(at least once), and reports the median of each command. Every output
-is checked (perfbench/check.py); a failed check prints
-`"correct": false` and exits 1.
+then repeats train -> score -> eval (a short eval `EVAL_REPEATS` times)
+on that corpus while the next iteration is expected to end within
+`--seconds` (at least `MIN_ITERATIONS` times), and reports the median of
+each command. Every output is checked (perfbench/check.py); a failed
+check prints `"correct": false` and exits 1.
 
 With `--trace 1` one more iteration (synth included) runs each command
 under perfbench/tracer.py and the per-layer metrics are printed instead
@@ -43,9 +43,14 @@ ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".bench_work"
 THREADS = 1
 SETUP_REPEATS = 5
+# iterations measured even when one outlasts --seconds, so every time is a
+# median of at least two samples and the repeat check always runs
+MIN_ITERATIONS = 2
 # `eval` is mostly interpreter start-up on the small workloads; more samples
-# per iteration steady its median
+# per iteration steady its median. An eval that itself takes longer than
+# EVAL_REPEAT_BELOW_S (large400's O(N^2) DET) runs once per iteration.
 EVAL_REPEATS = 3
+EVAL_REPEAT_BELOW_S = 1.0
 CHILD_TIMEOUT_S = 150
 COMMANDS = ("synth", "train", "score", "eval")
 
@@ -136,11 +141,11 @@ class Run:
         if command == "train":
             return ["train", "--config", str(self.config), "--seed", str(self.seed),
                     "--data", str(data), "--out", str(d / f"{tag}.dvc"),
-                    "--jobs", str(w.train_jobs)]
+                    "--jobs", str(w.jobs)]
         if command == "score":
             return ["score", "--bundle", str(d / f"{tag}.dvc"), "--data", str(data),
                     "--trials", str(data / "trials.txt"), "--out", str(d / f"{tag}.scores"),
-                    "--jobs", str(w.score_jobs)]
+                    "--jobs", str(w.jobs)]
         return ["eval", "--scores", str(d / f"{tag}.scores")]
 
     def run(self, argv, what):
@@ -190,8 +195,10 @@ class Run:
         train = self.run(cli_argv(self.command_args("train", self.data, tag)), f"train{i}")
         score, (scored, targets) = self.score_and_check(
             cli_argv(self.command_args("score", self.data, tag)), tag, f"score{i}")
-        evals = [self.run(cli_argv(self.command_args("eval", self.data, tag)), f"eval{i}_{k}")
-                 for k in range(EVAL_REPEATS)]
+        eval_argv = cli_argv(self.command_args("eval", self.data, tag))
+        evals = [self.run(eval_argv, f"eval{i}_0")]
+        repeats = EVAL_REPEATS if evals[0].wall_s < EVAL_REPEAT_BELOW_S else 1
+        evals += [self.run(eval_argv, f"eval{i}_{k}") for k in range(1, repeats)]
         report = check.parse_eval(evals[0].stdout)
         check.check_eval(report, scored, targets, self.w.eer_ceiling)
         if any(e.stdout != evals[0].stdout for e in evals):
@@ -215,7 +222,7 @@ class Run:
         args[args.index("--jobs") + 1] = "1"
         self.score_and_check(cli_argv(args), "jobs1", "score_jobs1")
         check.check_same_bytes(self.dir / "it0.scores", self.dir / "jobs1.scores",
-                               f"score files of --jobs 1 and --jobs {self.w.score_jobs}")
+                               f"score files of --jobs 1 and --jobs {self.w.jobs}")
 
     def measure(self, seconds):
         deadline = time.perf_counter() + seconds
@@ -224,9 +231,10 @@ class Run:
             start = time.perf_counter()
             self.attempt(self.iteration, len(durations))
             durations.append(time.perf_counter() - start)
-            if time.perf_counter() + statistics.median(durations) > deadline:
+            if (len(durations) >= MIN_ITERATIONS
+                    and time.perf_counter() + statistics.median(durations) > deadline):
                 break
-        if self.w.check_jobs_identity:
+        if self.w.jobs > 1:
             self.attempt(self.jobs_identity)
         check.check_reference(self.w.name, self.seed, self.report)
 

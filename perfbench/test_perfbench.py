@@ -43,25 +43,50 @@ def test_every_metric_is_emitted_with_its_unit(trace, group):
                    for line in lines), name
 
 
-def test_layer_self_times_sum_to_traced_wall_time(tmp_path):
-    data = tmp_path / "data"
-    config = tmp_path / "config.ini"
+@pytest.fixture(scope="module")
+def traces(tmp_path_factory):
+    """Trace records of tiny synth, train and score at --jobs 1 and 2."""
+    d = tmp_path_factory.mktemp("traced")
+    data, bundle, config = d / "data", d / "b.dvc", d / "config.ini"
     config.write_text(WORKLOADS["tiny"].config_text())
     commands = {
         "synth": ["synth", "--config", str(config), "--seed", "3", "--out", str(data)],
         "train": ["train", "--config", str(config), "--seed", "3", "--data", str(data),
-                  "--out", str(tmp_path / "b.dvc")],
+                  "--out", str(bundle)],
     }
+    for jobs in (1, 2):
+        commands[f"score_jobs{jobs}"] = [
+            "score", "--bundle", str(bundle), "--data", str(data), "--trials",
+            str(data / "trials.txt"), "--out", str(d / f"{jobs}.scores"), "--jobs", str(jobs)]
+    records = {}
     for name, args in commands.items():
-        trace = tmp_path / f"{name}.json"
-        result = run.run_child(run.traced_argv(trace, args), tmp_path, name)
+        trace = d / f"{name}.json"
+        result = run.run_child(run.traced_argv(trace, args), d, name)
         assert result.code == 0, result.stderr
-        record = json.loads(trace.read_text())
-        assert record["layers"]["cli"]["calls"] == 1
-        total = sum(entry["self_s"] for entry in record["layers"].values())
-        assert total == pytest.approx(record["wall_s"], rel=0.01, abs=1e-3)
-    assert len(record["layers"]) >= 6  # train crosses most layers
-    assert record["counters"]["hmm.gauss_evals"] > 0
+        records[name] = json.loads(trace.read_text())
+    return records
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "score_jobs1"])
+def test_layer_self_times_sum_to_traced_wall_time(traces, command):
+    record = traces[command]
+    assert record["layers"]["cli"]["calls"] == 1
+    total = sum(entry["self_s"] for entry in record["layers"].values())
+    assert total == pytest.approx(record["wall_s"], rel=0.01, abs=1e-3)
+
+
+def test_traced_train_crosses_most_layers(traces):
+    assert len(traces["train"]["layers"]) >= 6
+    assert traces["train"]["counters"]["hmm.gauss_evals"] > 0
+
+
+def test_call_counts_do_not_depend_on_jobs(traces):
+    one, two = traces["score_jobs1"], traces["score_jobs2"]
+    calls = [{layer: entry["calls"] for layer, entry in r["layers"].items()}
+             for r in (one, two)]
+    assert calls[0] == calls[1]
+    assert calls[0]["pipeline"] == 2  # enroll_speakers and score_trials, from cli
+    assert one["counters"] == two["counters"]
 
 
 @pytest.fixture(scope="module")

@@ -16,8 +16,10 @@ duration minus the part covered by its child spans) and the number of
 calls that entered it. Worker threads of `pipeline._map` start with an
 empty span stack; their outermost spans are children of the span the
 main thread has open while it waits, so that span's self time excludes
-the covered interval. Self times of concurrent threads add up, so with
-`--jobs > 1` their sum exceeds the command's wall time by the overlap.
+the covered interval. Such a worker span counts as a call only when its
+layer differs from the waiting span's, so call counts do not depend on
+`--jobs`. Self times of concurrent threads add up, so with `--jobs > 1`
+their sum exceeds the command's wall time by the overlap.
 """
 
 import functools
@@ -109,6 +111,9 @@ class Tracer:
                 parent = self._main_stack[-1]  # pool worker: the waiting span
             else:
                 parent = None
+            # a worker's call in the waiting span's layer does not cross a
+            # layer: it gets a span, for the covered interval, but no call
+            crossed = parent is None or parent[0] != layer
             # [layer, start, same-thread child time, other-thread child intervals]
             span = [layer, time.perf_counter(), 0.0, None]
             stack.append(span)
@@ -125,7 +130,7 @@ class Tracer:
                 if entry is None:
                     entry = layers[layer] = [0.0, 0]
                 entry[0] += duration - covered
-                entry[1] += 1
+                entry[1] += crossed
                 if stack:
                     parent[2] += duration
                 elif parent is not None:

@@ -15,12 +15,11 @@ class Workload:
     corpus: dict  # [corpus] keys of the config file
     hmm: dict  # [hmm] keys
     ivector: dict  # [ivector] keys
-    train_jobs: int = 1
-    score_jobs: int = 1
+    # --jobs of train and score; above 1, a --jobs 1 score file must equal
+    # the threaded one byte for byte
+    jobs: int = 1
     # largest EER the gate accepts at any seed; a run above it fails
     eer_ceiling: float = 1.0
-    # also score with --jobs 1 and require a byte-identical score file
-    check_jobs_identity: bool = False
 
     def config_text(self):
         lines = []
@@ -56,10 +55,8 @@ SHORT90 = Workload(
     ),
     hmm=dict(states=4, comps=1, iters=2),
     ivector=dict(rank=8, iters=4),
-    train_jobs=2,
-    score_jobs=2,
+    jobs=2,
     eer_ceiling=0.30,
-    check_jobs_identity=True,
 )
 
 # scoring-heavy: 107,736 trials, O(N^2) DET in eval
@@ -85,8 +82,7 @@ TINY = Workload(
     ),
     hmm=dict(states=2, comps=1, iters=2),
     ivector=dict(rank=4, iters=3),
-    score_jobs=2,
-    check_jobs_identity=True,
+    jobs=2,
 )
 
 WORKLOADS = {w.name: w for w in (CLEAN40, SHORT90, LARGE400, TINY)}
